@@ -2,11 +2,11 @@
 // path vs the overhauled engine (SIMD kernels, arena parts, persistent
 // worker pool with tile-level parallelism).
 //
-// The baseline configuration (`seed_reference_1t`) runs the original
-// datapath loops preserved behind SaloConfig::reference_datapath on one
-// thread — the seed's execution path. Every configuration is verified to
-// produce bit-identical outputs and identical simulation statistics before
-// any number is reported.
+// The baseline configuration (`seed_reference_1t`) runs the reference
+// executor (core/reference_executor.hpp): the seed's sequential scalar
+// datapath on one thread. Every configuration is verified to produce
+// bit-identical outputs and identical simulation statistics before any
+// number is reported.
 //
 //   bench_throughput [--quick] [--heads N] [--json <path>]
 //
@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/reference_executor.hpp"
 #include "core/salo.hpp"
 #include "sim/kernels.hpp"
 #include "workload/workloads.hpp"
@@ -35,16 +36,15 @@ using salo::QkvSet;
 using salo::SaloConfig;
 using salo::SaloEngine;
 
-double median_ms(const SaloConfig& config, const AttentionWorkload& w, const QkvSet& qkv,
-                 int reps, LayerResult* out) {
-    // One engine for all reps: the persistent pool and its arenas are
-    // steady-state across calls, which is exactly what we want to measure.
-    const SaloEngine engine(config);
+/// Median wall time of `reps` calls of `run` (returning a LayerResult);
+/// the last result goes to `out`.
+template <typename Run>
+double median_ms(int reps, LayerResult* out, const Run& run) {
     std::vector<double> times;
     times.reserve(static_cast<std::size_t>(reps));
     for (int i = 0; i < reps; ++i) {
         const auto t0 = std::chrono::steady_clock::now();
-        LayerResult r = engine.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
+        LayerResult r = run();
         const auto t1 = std::chrono::steady_clock::now();
         times.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
         if (out) *out = std::move(r);
@@ -93,13 +93,16 @@ int main(int argc, char** argv) {
     const int reps = quick ? 1 : 3;
     const QkvSet qkv = salo::make_qkv(w, 42);
 
-    SaloConfig seed_cfg;
-    seed_cfg.num_threads = 1;
-    seed_cfg.reference_datapath = true;
     SaloConfig opt1_cfg;
     opt1_cfg.num_threads = 1;
     SaloConfig opt8_cfg;
     opt8_cfg.num_threads = 8;
+    // One engine per configuration for all reps: the persistent pool and
+    // its arenas are steady-state across calls, which is exactly what we
+    // want to measure.
+    const SaloEngine opt1(opt1_cfg);
+    const SaloEngine opt8(opt8_cfg);
+    const salo::CompiledPlanPtr plan = opt1.compile(w.pattern, w.head_dim);
 
     std::printf("workload: Longformer-4096, %d heads, d=%d (functional fidelity)\n",
                 w.heads, w.head_dim);
@@ -107,11 +110,17 @@ int main(int argc, char** argv) {
                 salo::kernels::isa_name(), salo::default_num_threads(), reps);
 
     LayerResult r_seed, r_opt1, r_opt8;
-    const double seed_ms = median_ms(seed_cfg, w, qkv, reps, &r_seed);
+    const double seed_ms = median_ms(reps, &r_seed, [&] {
+        return salo::reference_run(opt1_cfg, *plan, qkv.q, qkv.k, qkv.v, w.scale());
+    });
     std::printf("%-24s %9.1f ms\n", "seed_reference_1t", seed_ms);
-    const double opt1_ms = median_ms(opt1_cfg, w, qkv, reps, &r_opt1);
+    const double opt1_ms = median_ms(reps, &r_opt1, [&] {
+        return opt1.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
+    });
     std::printf("%-24s %9.1f ms   (%.2fx)\n", "optimized_1t", opt1_ms, seed_ms / opt1_ms);
-    const double opt8_ms = median_ms(opt8_cfg, w, qkv, reps, &r_opt8);
+    const double opt8_ms = median_ms(reps, &r_opt8, [&] {
+        return opt8.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
+    });
     std::printf("%-24s %9.1f ms   (%.2fx)\n", "optimized_8t", opt8_ms, seed_ms / opt8_ms);
 
     const bool bit_identical = identical(r_seed, r_opt1) && identical(r_seed, r_opt8);

@@ -15,50 +15,56 @@ namespace {
 
 /// Min/max query id over a tile's emitted parts, as a [lo, hi) range for
 /// the merge phase's shard-skip test ({0, 0} when the tile emitted none).
-/// `for_each_part` invokes its callback once per part, in any order.
-template <typename ForEachPart>
-QueryShard part_query_bounds(ForEachPart&& for_each_part) {
-    QueryShard bounds{0, 0};
-    bool first = true;
-    for_each_part([&](const TilePart& p) {
-        if (first) {
-            bounds = QueryShard{p.query, p.query + 1};
-            first = false;
-            return;
-        }
-        bounds.lo = std::min(bounds.lo, p.query);
-        bounds.hi = std::max(bounds.hi, p.query + 1);
-    });
+QueryShard part_query_bounds(const PartArena& arena, const PartSpan& span) {
+    if (span.count == 0) return QueryShard{0, 0};
+    QueryShard bounds{std::numeric_limits<int>::max(), std::numeric_limits<int>::min()};
+    for (std::uint32_t i = 0; i < span.count; ++i) {
+        const int query = arena.at(span.first + i).query;
+        bounds.lo = std::min(bounds.lo, query);
+        bounds.hi = std::max(bounds.hi, query + 1);
+    }
     return bounds;
 }
 
-/// Sequential cycle accounting shared by every execution path, a thin
-/// adapter over the shared TileCostAccountant (sim/tile_costs.hpp — the
-/// same contract the analytic model and the co-simulation kernel replay).
-/// Tiles are accounted strictly in schedule order: the double-buffered load
-/// overlap and the inter-tile stage-3 pipelining both depend on the
-/// previous tile.
-class TileAccountant {
-public:
-    TileAccountant(const SaloConfig& config, int head_dim)
-        : accountant_(config.tile_cost_params(head_dim)) {}
+/// The golden mask over the plan's key rows. A decode micro-plan's single
+/// query is row `position` of the pattern, and its keys are the compact
+/// layout [pinned globals][window_lo .. position]: a pinned global that also
+/// lies in the window counts once, at its window copy. Ascending compact
+/// order is then ascending absolute order, so masked_attention sums in the
+/// same order as golden() over the full prefix — bit-identical rows.
+AttendFn golden_mask(const CompiledPlan& plan) {
+    const HybridPattern& pattern = plan.pattern();
+    if (!plan.is_step()) return pattern.attend_fn();
+    const StepGeometry sg = plan.step();
+    return [&pattern, sg](int, int cj) {
+        if (cj < sg.num_globals) {
+            const int j = pattern.global_tokens()[static_cast<std::size_t>(cj)];
+            return j < sg.window_lo && pattern.attends(sg.position, j);
+        }
+        return pattern.attends(sg.position, sg.window_lo + (cj - sg.num_globals));
+    };
+}
 
-    /// Account one tile; returns its closed-form stage breakdown for the
-    /// caller's activity bookkeeping.
-    const CycleBreakdown& account(const TileTask& tile, SimStats& stats) {
-        const TileCostAccountant::Step step = accountant_.account(tile);
-        stats.cycles += step.cycles;
-        ++stats.tiles;
-        for (int s = 0; s < 5; ++s)
-            stats.stage_totals.stage[s] += step.cost.breakdown.stage[s];
-        last_breakdown_ = step.cost.breakdown;
-        return last_breakdown_;
+/// Run heads [0, heads) through `run_head` — across `pool` when non-null,
+/// else in order — move their outputs into `out` and return the summed
+/// stats.
+template <typename RunHead>
+SimStats run_heads(int heads, ThreadPool* pool, Tensor3<float>& out,
+                   const RunHead& run_head) {
+    std::vector<HeadResult> results(static_cast<std::size_t>(heads));
+    if (pool != nullptr)
+        pool->parallel_for(heads, [&](int h, int) {
+            results[static_cast<std::size_t>(h)] = run_head(h);
+        });
+    else
+        for (int h = 0; h < heads; ++h) results[static_cast<std::size_t>(h)] = run_head(h);
+    SimStats stats;
+    for (int h = 0; h < heads; ++h) {
+        out[h] = std::move(results[static_cast<std::size_t>(h)].output);
+        stats += results[static_cast<std::size_t>(h)].stats;
     }
-
-private:
-    TileCostAccountant accountant_;
-    CycleBreakdown last_breakdown_;
-};
+    return stats;
+}
 
 }  // namespace
 
@@ -100,106 +106,71 @@ Matrix<float> SaloEngine::golden(const HybridPattern& pattern, const Matrix<floa
     return masked_attention(q, k, v, scale, pattern.attend_fn());
 }
 
-HeadResult SaloEngine::run_head_impl(const SchedulePlan& plan,
-                                     const HybridPattern& pattern,
-                                     const Matrix<float>& q, const Matrix<float>& k,
-                                     const Matrix<float>& v, float scale,
-                                     Fidelity fidelity, int threads,
+SaloEngine::RunControl SaloEngine::control(const RunOptions& options) const {
+    RunControl ctl;
+    ctl.cancel = options.cancel.cancellable() ? &options.cancel : nullptr;
+    ctl.has_deadline = options.deadline.has_value();
+    if (options.deadline) ctl.deadline = *options.deadline;
+    ctl.fault = options.fault_injector != nullptr ? options.fault_injector
+                                                  : config_.fault_injector.get();
+    return ctl;
+}
+
+HeadResult SaloEngine::run_head_impl(const CompiledPlan& plan, const Matrix<float>& q,
+                                     const Matrix<float>& k, const Matrix<float>& v,
+                                     float scale, Fidelity fidelity, int threads,
                                      ParallelWorkspace* ws, const RunControl* ctl) const {
-    const int n = q.rows();
-    const int d = q.cols();
-    SALO_EXPECTS(n == pattern.n());
-    SALO_EXPECTS(k.rows() == n && v.rows() == n && k.cols() == d && v.cols() == d);
-    SALO_EXPECTS(plan.n == n && plan.head_dim == d);
+    const int d = plan.head_dim();
+    SALO_EXPECTS(q.rows() == (plan.is_step() ? 1 : plan.n()));
+    SALO_EXPECTS(k.rows() == plan.n() && v.rows() == plan.n());
+    SALO_EXPECTS(q.cols() == d && k.cols() == d && v.cols() == d);
 
     if (fidelity == Fidelity::kGolden) {
         // No tile loop here: the head boundary (-1) is the only checkpoint.
         if (ctl != nullptr) ctl->check(-1);
         HeadResult result;
-        result.output = golden(pattern, q, k, v, scale);
+        result.output = masked_attention(q, k, v, scale, golden_mask(plan));
         return result;
     }
 
     // Quantize at the accelerator boundary; the 1/sqrt(d) scaling is folded
-    // into Q (driver-side preprocessing, see DESIGN.md).
+    // into Q (driver-side preprocessing, see DESIGN.md). Quantization is
+    // elementwise, so a decode step's query row and compact K/V rows get
+    // exactly the bits the full-prefix run gives the same rows.
     Matrix<float> q_scaled = q;
     for (auto& x : q_scaled.data()) x *= scale;
     const Matrix<std::int8_t> qq = quantize<InputFx>(q_scaled);
     const Matrix<std::int8_t> kq = quantize<InputFx>(k);
     const Matrix<std::int8_t> vq = quantize<InputFx>(v);
 
-    // The reference datapath exists only in the sequential loop; honoring
-    // the flag beats silently benchmarking the optimized path as "seed".
-    const bool parallel_ok = !config_.reference_datapath;
-    if (parallel_ok && threads > 1 && static_cast<int>(plan.tiles.size()) > 1) {
-        if (ws != nullptr) return run_head_parallel(plan, fidelity, qq, kq, vq, *ws, ctl);
-        ParallelWorkspace scratch_ws;
-        return run_head_parallel(plan, fidelity, qq, kq, vq, scratch_ws, ctl);
-    }
-    return run_head_sequential(plan, fidelity, qq, kq, vq, ctl);
-}
-
-HeadResult SaloEngine::run_head_sequential(const SchedulePlan& plan, Fidelity fidelity,
-                                           const Matrix<std::int8_t>& qq,
-                                           const Matrix<std::int8_t>& kq,
-                                           const Matrix<std::int8_t>& vq,
-                                           const RunControl* ctl) const {
-    const int n = qq.rows();
-    const int d = qq.cols();
-    const int num_tiles = static_cast<int>(plan.tiles.size());
-    HeadResult result;
-    WeightedSumModule wsm(n, d, recip_unit_);
-    const CycleConfig ccfg = config_.cycle_config();
-    TileAccountant accountant(config_, d);
-
+    const SchedulePlan& p = plan.plan();
+    const int lanes = threads > 1 && p.tiles.size() > 1 ? pool().lanes() : 1;
+    ParallelWorkspace scratch_ws;
+    ParallelWorkspace& w = ws != nullptr ? *ws : scratch_ws;
     if (fidelity == Fidelity::kFunctional) {
         const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
-        if (config_.reference_datapath) {
-            std::vector<TilePart> parts;
-            for (int t = 0; t < num_tiles; ++t) {
-                if (ctl != nullptr) ctl->check(t);
-                const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-                parts.clear();
-                exec.run(tile, parts, result.stats.activity);
-                for (const TilePart& p : parts) wsm.merge(p);
-                const CycleBreakdown& b = accountant.account(tile, result.stats);
-                result.stats.activity.pe_cycles +=
-                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-            }
-        } else {
-            PartArena arena;
-            PartScratch scratch;
-            for (int t = 0; t < num_tiles; ++t) {
-                if (ctl != nullptr) ctl->check(t);
-                const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-                arena.reset();
-                exec.run(tile, arena, result.stats.activity, scratch);
-                for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
-                const CycleBreakdown& b = accountant.account(tile, result.stats);
-                result.stats.activity.pe_cycles +=
-                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-            }
-        }
-    } else {
-        const CycleAccurateArray array(config_.geometry, ccfg, exp_unit_, recip_unit_, qq,
-                                       kq, vq);
-        std::vector<TilePart> parts;
-        for (int t = 0; t < num_tiles; ++t) {
-            if (ctl != nullptr) ctl->check(t);
-            const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-            parts.clear();
-            array.run(tile, parts, result.stats.activity);
-            for (const TilePart& p : parts) wsm.merge(p);
-            accountant.account(tile, result.stats);
-        }
+        return run_tiles(
+            p, qq.rows(), d, lanes, false,
+            [&](const TileTask& tile, PartArena& arena, ActivityStats& activity,
+                PartScratch& scratch) { exec.run(tile, arena, activity, scratch); },
+            w, ctl);
     }
-
-    result.output = wsm.finalize();
-    return result;
+    const CycleAccurateArray array(config_.geometry, config_.cycle_config(), exp_unit_,
+                                   recip_unit_, qq, kq, vq);
+    return run_tiles(
+        p, qq.rows(), d, lanes, true,
+        [&](const TileTask& tile, PartArena& arena, ActivityStats& activity, PartScratch&) {
+            std::vector<TilePart> parts;
+            array.run(tile, parts, activity);
+            for (TilePart& part : parts) arena.alloc(0) = std::move(part);
+        },
+        w, ctl);
 }
 
 // ---------------------------------------------------------------------------
-// Tile-level parallel execution: tiles of ONE head run concurrently.
+// The tile loop. With one lane it executes a tile, merges its parts and
+// resets the arena before the next, so a head never holds more than one
+// tile's parts. With N lanes:
 //
 // Phase A  workers claim tiles from the pool's ticket counter and execute
 //          them into per-lane part arenas, recording an (arena, range) span
@@ -207,61 +178,37 @@ HeadResult SaloEngine::run_head_sequential(const SchedulePlan& plan, Fidelity fi
 // Phase B  query rows are partitioned into balanced shards; each lane
 //          replays the *full* part stream in schedule order and merges only
 //          the parts of its shard. Per-query merge order is therefore
-//          exactly the sequential order — bit-identical output for any
+//          exactly the one-lane order — bit-identical output for any
 //          thread count and any tile->lane assignment.
-// Phase C  cycle accounting runs on the calling thread in schedule order
-//          (the load-overlap model is inherently sequential, but it is
-//          O(tiles), not O(work)).
+// Phase C  (both cases) cycle accounting in schedule order on the calling
+//          thread: the load-overlap model is inherently sequential, but it
+//          is O(tiles), not O(work).
 // ---------------------------------------------------------------------------
-HeadResult SaloEngine::run_head_parallel(const SchedulePlan& plan, Fidelity fidelity,
-                                         const Matrix<std::int8_t>& qq,
-                                         const Matrix<std::int8_t>& kq,
-                                         const Matrix<std::int8_t>& vq,
-                                         ParallelWorkspace& ws,
-                                         const RunControl* ctl) const {
-    const int n = qq.rows();
-    const int d = qq.cols();
+template <typename RunTile>
+HeadResult SaloEngine::run_tiles(const SchedulePlan& plan, int n, int d, int lanes,
+                                 bool measures_pe_cycles, const RunTile& run_tile,
+                                 ParallelWorkspace& ws, const RunControl* ctl) const {
     const int num_tiles = static_cast<int>(plan.tiles.size());
-    HeadResult result;
+    const auto lane_count = static_cast<std::size_t>(lanes);
     WeightedSumModule wsm(n, d, recip_unit_);
-    const CycleConfig ccfg = config_.cycle_config();
-    TileAccountant accountant(config_, d);
-    ThreadPool& workers = pool();
-    const int lanes = workers.lanes();
+    ws.arenas.resize(lane_count);
+    ws.scratch.resize(lane_count);
+    ws.lane_activity.assign(lane_count, ActivityStats{});
 
-    ws.lane_activity.assign(static_cast<std::size_t>(lanes), ActivityStats{});
-    std::vector<ActivityStats>& lane_activity = ws.lane_activity;
-    ws.tile_bounds.resize(static_cast<std::size_t>(num_tiles));
-    std::vector<QueryShard>& tile_bounds = ws.tile_bounds;
-
-    // Phase B, shared by both fidelities: every shard replays the full tile
-    // list in schedule order — skipping tiles whose part queries fall
-    // outside its range — and merges only its own queries, so per-query
-    // merge order equals the sequential order for any lane count.
-    auto replay_shards = [&](auto&& for_each_part_of_tile) {
-        if (ws.shards.empty()) ws.shards = partition_query_rows(plan, lanes);
-        const std::vector<QueryShard>& shards = ws.shards;
-        workers.parallel_for(static_cast<int>(shards.size()), [&](int s, int) {
-            const QueryShard shard = shards[static_cast<std::size_t>(s)];
-            for (int t = 0; t < num_tiles; ++t) {
-                const QueryShard bounds = tile_bounds[static_cast<std::size_t>(t)];
-                if (bounds.hi <= shard.lo || bounds.lo >= shard.hi) continue;
-                for_each_part_of_tile(t, [&](const TilePart& p) {
-                    wsm.merge_shard(p, shard.lo, shard.hi);
-                });
-            }
-        });
-    };
-
-    if (fidelity == Fidelity::kFunctional) {
-        const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
-        ws.arenas.resize(static_cast<std::size_t>(lanes));
+    if (lanes == 1) {
+        PartArena& arena = ws.arenas[0];
+        for (int t = 0; t < num_tiles; ++t) {
+            if (ctl != nullptr) ctl->check(t);
+            arena.reset();
+            run_tile(plan.tiles[static_cast<std::size_t>(t)], arena, ws.lane_activity[0],
+                     ws.scratch[0]);
+            for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
+        }
+    } else {
+        ThreadPool& workers = pool();
         for (PartArena& a : ws.arenas) a.reset();
-        ws.scratch.resize(static_cast<std::size_t>(lanes));
         ws.spans.resize(static_cast<std::size_t>(num_tiles));
-        std::vector<PartArena>& arenas = ws.arenas;
-        std::vector<PartScratch>& scratch = ws.scratch;
-        std::vector<PartSpan>& spans = ws.spans;
+        ws.tile_bounds.resize(static_cast<std::size_t>(num_tiles));
 
         // Larger claim chunks cut ticket-counter contention; tiles are small.
         const int chunk = std::max(1, num_tiles / (lanes * 8));
@@ -274,185 +221,58 @@ HeadResult SaloEngine::run_head_parallel(const SchedulePlan& plan, Fidelity fide
                 // first error is rethrown to this run's caller after the
                 // region completes.
                 if (ctl != nullptr) ctl->check(t);
-                PartArena& arena = arenas[static_cast<std::size_t>(lane)];
+                const auto l = static_cast<std::size_t>(lane);
+                PartArena& arena = ws.arenas[l];
                 const auto first = static_cast<std::uint32_t>(arena.used());
-                exec.run(plan.tiles[static_cast<std::size_t>(t)], arena,
-                         lane_activity[static_cast<std::size_t>(lane)],
-                         scratch[static_cast<std::size_t>(lane)]);
-                PartSpan& span = spans[static_cast<std::size_t>(t)];
-                span = PartSpan{lane, first,
-                                static_cast<std::uint32_t>(arena.used() - first)};
-                tile_bounds[static_cast<std::size_t>(t)] =
-                    part_query_bounds([&](auto&& visit) {
-                        for (std::uint32_t i = 0; i < span.count; ++i)
-                            visit(arena.at(first + i));
-                    });
+                run_tile(plan.tiles[static_cast<std::size_t>(t)], arena,
+                         ws.lane_activity[l], ws.scratch[l]);
+                const PartSpan span{lane, first,
+                                    static_cast<std::uint32_t>(arena.used() - first)};
+                ws.spans[static_cast<std::size_t>(t)] = span;
+                ws.tile_bounds[static_cast<std::size_t>(t)] =
+                    part_query_bounds(arena, span);
             },
             chunk);
 
-        replay_shards([&](int t, auto&& merge) {
-            const PartSpan& span = spans[static_cast<std::size_t>(t)];
-            const PartArena& arena = arenas[static_cast<std::size_t>(span.lane)];
-            for (std::uint32_t i = 0; i < span.count; ++i)
-                merge(arena.at(span.first + i));
+        // Merge shards partition the plan's query rows. Only full plans take
+        // N lanes (a decode step runs one lane per head), so they are the
+        // WSM's rows.
+        SALO_ASSERT(n == plan.n);
+        if (ws.shards.empty()) ws.shards = partition_query_rows(plan, lanes);
+        workers.parallel_for(static_cast<int>(ws.shards.size()), [&](int s, int) {
+            const QueryShard shard = ws.shards[static_cast<std::size_t>(s)];
+            for (int t = 0; t < num_tiles; ++t) {
+                const QueryShard bounds = ws.tile_bounds[static_cast<std::size_t>(t)];
+                if (bounds.hi <= shard.lo || bounds.lo >= shard.hi) continue;
+                const PartSpan& span = ws.spans[static_cast<std::size_t>(t)];
+                const PartArena& arena = ws.arenas[static_cast<std::size_t>(span.lane)];
+                for (std::uint32_t i = 0; i < span.count; ++i)
+                    wsm.merge_shard(arena.at(span.first + i), shard.lo, shard.hi);
+            }
         });
-
-        for (const TileTask& tile : plan.tiles) {
-            const CycleBreakdown& b = accountant.account(tile, result.stats);
-            result.stats.activity.pe_cycles +=
-                static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-        }
-    } else {
-        const CycleAccurateArray array(config_.geometry, ccfg, exp_unit_, recip_unit_, qq,
-                                       kq, vq);
-        ws.tile_parts.resize(static_cast<std::size_t>(num_tiles));
-        for (auto& parts : ws.tile_parts) parts.clear();
-        std::vector<std::vector<TilePart>>& tile_parts = ws.tile_parts;
-
-        workers.parallel_for(num_tiles, [&](int t, int lane) {
-            if (ctl != nullptr) ctl->check(t);
-            std::vector<TilePart>& parts = tile_parts[static_cast<std::size_t>(t)];
-            array.run(plan.tiles[static_cast<std::size_t>(t)], parts,
-                      lane_activity[static_cast<std::size_t>(lane)]);
-            tile_bounds[static_cast<std::size_t>(t)] =
-                part_query_bounds([&](auto&& visit) {
-                    for (const TilePart& p : parts) visit(p);
-                });
-        });
-
-        replay_shards([&](int t, auto&& merge) {
-            for (const TilePart& p : tile_parts[static_cast<std::size_t>(t)]) merge(p);
-        });
-
-        for (int t = 0; t < num_tiles; ++t)
-            accountant.account(plan.tiles[static_cast<std::size_t>(t)], result.stats);
     }
 
-    for (const ActivityStats& a : lane_activity) result.stats.activity += a;
-    result.output = wsm.finalize();
-    return result;
-}
-
-// ---------------------------------------------------------------------------
-// Incremental decode: one query row against the compact K/V layout.
-// ---------------------------------------------------------------------------
-
-HeadResult SaloEngine::run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
-                                     int head, const Matrix<float>& k,
-                                     const Matrix<float>& v, float scale,
-                                     Fidelity fidelity, const RunControl* ctl) const {
-    const StepGeometry& sg = micro.step();
-    const int d = micro.head_dim();
     HeadResult result;
-
-    if (fidelity == Fidelity::kGolden) {
-        if (ctl != nullptr) ctl->check(-1);
-        // masked_attention's row loop for row t, with absolute key
-        // positions mapped into the compact layout. The compact rows are
-        // copies of the absolute rows and the iteration stays ascending-j,
-        // so every float op matches golden() over the full prefix.
-        const HybridPattern& pattern = micro.pattern();
-        const std::vector<int>& globals = pattern.global_tokens();
-        const int t = sg.position;
-        const auto compact_of = [&](int j) {
-            if (j >= sg.window_lo) return sg.num_globals + (j - sg.window_lo);
-            const auto pin = std::lower_bound(globals.begin(), globals.end(), j);
-            SALO_ASSERT(pin != globals.end() && *pin == j);
-            return static_cast<int>(pin - globals.begin());
-        };
-        std::vector<int> cols;
-        std::vector<double> scores;
-        for (int j = 0; j <= t; ++j)
-            if (pattern.attends(t, j)) cols.push_back(j);
-        Matrix<float> out(1, d, 0.0f);
-        if (!cols.empty()) {
-            double mx = -std::numeric_limits<double>::infinity();
-            for (int j : cols) {
-                const int cj = compact_of(j);
-                double dot = 0.0;
-                for (int x = 0; x < d; ++x)
-                    dot += static_cast<double>(q_row(head, x)) *
-                           static_cast<double>(k(cj, x));
-                dot *= scale;
-                scores.push_back(dot);
-                mx = std::max(mx, dot);
-            }
-            double sum = 0.0;
-            for (double& sc : scores) {
-                sc = std::exp(sc - mx);
-                sum += sc;
-            }
-            SALO_ASSERT(sum > 0.0);
-            for (std::size_t idx = 0; idx < cols.size(); ++idx) {
-                const double w = scores[idx] / sum;
-                const int cj = compact_of(cols[idx]);
-                for (int x = 0; x < d; ++x)
-                    out(0, x) += static_cast<float>(w * static_cast<double>(v(cj, x)));
-            }
-        }
-        result.output = std::move(out);
-        return result;
+    SimStats& stats = result.stats;
+    TileCostAccountant accountant(config_.tile_cost_params(d));
+    for (const TileTask& tile : plan.tiles) {
+        const TileCostAccountant::Step step = accountant.account(tile);
+        stats.cycles += step.cycles;
+        ++stats.tiles;
+        for (int s = 0; s < 5; ++s)
+            stats.stage_totals.stage[s] += step.cost.breakdown.stage[s];
+        if (!measures_pe_cycles)
+            stats.activity.pe_cycles += static_cast<std::int64_t>(tile.rows()) *
+                                        tile.cols() * step.cost.breakdown.total();
     }
-
-    // Quantization is elementwise, so the single scaled query row and the
-    // compact K/V rows quantize to exactly the bits the full-prefix run
-    // produces for the same rows.
-    Matrix<float> q_scaled(1, d, 0.0f);
-    for (int x = 0; x < d; ++x) q_scaled(0, x) = q_row(head, x) * scale;
-    const Matrix<std::int8_t> qq = quantize<InputFx>(q_scaled);
-    const Matrix<std::int8_t> kq = quantize<InputFx>(k);
-    const Matrix<std::int8_t> vq = quantize<InputFx>(v);
-
-    const SchedulePlan& plan = micro.plan();
-    const int num_tiles = static_cast<int>(plan.tiles.size());
-    WeightedSumModule wsm(1, d, recip_unit_);
-    TileAccountant accountant(config_, d);
-
-    if (fidelity == Fidelity::kFunctional) {
-        const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
-        if (config_.reference_datapath) {
-            std::vector<TilePart> parts;
-            for (int t = 0; t < num_tiles; ++t) {
-                if (ctl != nullptr) ctl->check(t);
-                const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-                parts.clear();
-                exec.run(tile, parts, result.stats.activity);
-                for (const TilePart& p : parts) wsm.merge(p);
-                const CycleBreakdown& b = accountant.account(tile, result.stats);
-                result.stats.activity.pe_cycles +=
-                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-            }
-        } else {
-            PartArena arena;
-            PartScratch scratch;
-            for (int t = 0; t < num_tiles; ++t) {
-                if (ctl != nullptr) ctl->check(t);
-                const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-                arena.reset();
-                exec.run(tile, arena, result.stats.activity, scratch);
-                for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
-                const CycleBreakdown& b = accountant.account(tile, result.stats);
-                result.stats.activity.pe_cycles +=
-                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-            }
-        }
-    } else {
-        const CycleAccurateArray array(config_.geometry, config_.cycle_config(), exp_unit_,
-                                       recip_unit_, qq, kq, vq);
-        std::vector<TilePart> parts;
-        for (int t = 0; t < num_tiles; ++t) {
-            if (ctl != nullptr) ctl->check(t);
-            const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-            parts.clear();
-            array.run(tile, parts, result.stats.activity);
-            for (const TilePart& p : parts) wsm.merge(p);
-            accountant.account(tile, result.stats);
-        }
-    }
-
+    for (const ActivityStats& a : ws.lane_activity) stats.activity += a;
     result.output = wsm.finalize();
     return result;
 }
+
+// ---------------------------------------------------------------------------
+// Compiled-plan entry points.
+// ---------------------------------------------------------------------------
 
 CompiledPlanPtr SaloEngine::compile_step(const HybridPattern& pattern,
                                          int head_dim) const {
@@ -464,60 +284,38 @@ StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& 
                                 float scale, const RunOptions& options) const {
     check_compatible(micro);
     SALO_EXPECTS(micro.is_step());
-    const StepGeometry& sg = micro.step();
     const int heads = q_row.rows();
     const int d = micro.head_dim();
     SALO_EXPECTS(heads >= 1);
     SALO_EXPECTS(q_row.cols() == d);
     SALO_EXPECTS(k.count() == heads && v.count() == heads);
-    SALO_EXPECTS(k.rows() == sg.compact_rows && v.rows() == sg.compact_rows);
-    SALO_EXPECTS(k.cols() == d && v.cols() == d);
 
     const Fidelity fidelity = options.fidelity.value_or(config_.fidelity);
-    RunControl ctl_storage;
-    ctl_storage.cancel = options.cancel.cancellable() ? &options.cancel : nullptr;
-    ctl_storage.has_deadline = options.deadline.has_value();
-    if (options.deadline) ctl_storage.deadline = *options.deadline;
-    ctl_storage.fault = options.fault_injector != nullptr ? options.fault_injector
-                                                          : config_.fault_injector.get();
+    const RunControl ctl_storage = control(options);
     const RunControl* ctl = ctl_storage.active() ? &ctl_storage : nullptr;
-
-    StepResult result;
-    result.position = sg.position;
-    result.output = Tensor3<float>(heads, 1, d);
-
     const int threads =
         options.thread_budget <= 0 ? config_.effective_threads() : options.thread_budget;
-    std::vector<HeadResult> head_results(static_cast<std::size_t>(heads));
-    if (threads > 1 && heads > 1) {
-        // Heads are independent; a step's per-head tile loop is tiny, so a
-        // head is the only sensible work quantum.
-        pool().parallel_for(heads, [&](int h, int) {
-            head_results[static_cast<std::size_t>(h)] =
-                run_step_head(micro, q_row, h, k[h], v[h], scale, fidelity, ctl);
-        });
-    } else {
-        for (int h = 0; h < heads; ++h)
-            head_results[static_cast<std::size_t>(h)] =
-                run_step_head(micro, q_row, h, k[h], v[h], scale, fidelity, ctl);
-    }
 
-    for (int h = 0; h < heads; ++h) {
-        result.output[h] = std::move(head_results[static_cast<std::size_t>(h)].output);
-        result.stats += head_results[static_cast<std::size_t>(h)].stats;
-    }
+    StepResult result;
+    result.position = micro.step().position;
+    result.output = Tensor3<float>(heads, 1, d);
+    // Heads are independent; a step's per-head tile loop is tiny, so a head
+    // is the only sensible work quantum.
+    result.stats = run_heads(heads, threads > 1 && heads > 1 ? &pool() : nullptr,
+                             result.output, [&](int h) {
+                                 Matrix<float> q(1, d, 0.0f);
+                                 for (int x = 0; x < d; ++x) q(0, x) = q_row(h, x);
+                                 return run_head_impl(micro, q, k[h], v[h], scale, fidelity,
+                                                      1, nullptr, ctl);
+                             });
     return result;
 }
-
-// ---------------------------------------------------------------------------
-// Compiled-plan entry points.
-// ---------------------------------------------------------------------------
 
 HeadResult SaloEngine::run_head(const CompiledPlan& plan, const Matrix<float>& q,
                                 const Matrix<float>& k, const Matrix<float>& v,
                                 float scale) const {
     check_compatible(plan);
-    return run_head_impl(plan.plan(), plan.pattern(), q, k, v, scale, config_.fidelity,
+    return run_head_impl(plan, q, k, v, scale, config_.fidelity,
                          config_.effective_threads());
 }
 
@@ -543,61 +341,37 @@ LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
     SALO_EXPECTS(q.count() == k.count() && k.count() == v.count());
     SALO_EXPECTS(q.count() >= 1);
     const Fidelity fidelity = options.fidelity.value_or(config_.fidelity);
-    const SchedulePlan& p = plan.plan();
-    const HybridPattern& pattern = plan.pattern();
-    LayerResult result;
-    result.output = Tensor3<float>(q.count(), q.rows(), q.cols());
-    result.schedule = p.stats;
-
     // Resolve the robustness hooks once; a null control keeps the tile
-    // loops free of clock reads and atomic loads (the common case).
-    RunControl ctl_storage;
-    ctl_storage.cancel = options.cancel.cancellable() ? &options.cancel : nullptr;
-    ctl_storage.has_deadline = options.deadline.has_value();
-    if (options.deadline) ctl_storage.deadline = *options.deadline;
-    ctl_storage.fault = options.fault_injector != nullptr ? options.fault_injector
-                                                          : config_.fault_injector.get();
+    // loop free of clock reads and atomic loads (the common case).
+    const RunControl ctl_storage = control(options);
     const RunControl* ctl = ctl_storage.active() ? &ctl_storage : nullptr;
-
     const int heads = q.count();
     const int threads =
         options.thread_budget <= 0 ? config_.effective_threads() : options.thread_budget;
-    std::vector<HeadResult> head_results(static_cast<std::size_t>(heads));
 
-    if (threads == 1) {
-        for (int h = 0; h < heads; ++h)
-            head_results[static_cast<std::size_t>(h)] =
-                run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, 1, nullptr,
-                              ctl);
-    } else if (!config_.reference_datapath && fidelity != Fidelity::kGolden &&
-               (static_cast<int>(p.tiles.size()) >= 2 * threads || heads == 1)) {
-        // (Golden fidelity has no tiles to parallelize — it goes through the
-        // head-parallel branch below, like the original engine striped it.)
-        // Large plans: tile-level parallelism inside each head dominates
-        // (near-perfect balance even when heads % threads != 0). One
-        // workspace serves every head so arenas keep their capacity.
-        ParallelWorkspace ws;
-        for (int h = 0; h < heads; ++h)
-            head_results[static_cast<std::size_t>(h)] =
-                run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, threads, &ws,
-                              ctl);
-    } else {
-        // Small plans — and the reference datapath, which exists only in
-        // the sequential tile loop but still parallelizes across heads,
-        // like the original engine did: a head is the work quantum. Heads
-        // are independent, so results are identical either way; each task
-        // runs the sequential path (the two levels never nest).
-        pool().parallel_for(heads, [&](int h, int) {
-            head_results[static_cast<std::size_t>(h)] =
-                run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, 1, nullptr,
-                              ctl);
-        });
-    }
+    // Large plans: tile-level parallelism inside each head dominates
+    // (near-perfect balance even when heads % threads != 0). Small plans —
+    // and golden fidelity, which has no tiles — parallelize across heads: a
+    // head is the work quantum, and each task runs one lane so the two
+    // levels never nest. Heads are independent, so results are identical
+    // either way.
+    const bool tile_parallel =
+        threads > 1 && fidelity != Fidelity::kGolden &&
+        (static_cast<int>(plan.plan().tiles.size()) >= 2 * threads || heads == 1);
+    const bool head_parallel = threads > 1 && !tile_parallel;
+    // Heads that run one after another share one workspace, so arenas keep
+    // their capacity.
+    ParallelWorkspace ws;
 
-    for (int h = 0; h < heads; ++h) {
-        result.output[h] = std::move(head_results[static_cast<std::size_t>(h)].output);
-        result.stats += head_results[static_cast<std::size_t>(h)].stats;
-    }
+    LayerResult result;
+    result.output = Tensor3<float>(heads, q.rows(), q.cols());
+    result.schedule = plan.schedule_stats();
+    result.stats = run_heads(heads, head_parallel ? &pool() : nullptr, result.output,
+                             [&](int h) {
+                                 return run_head_impl(plan, q[h], k[h], v[h], scale,
+                                                      fidelity, tile_parallel ? threads : 1,
+                                                      head_parallel ? nullptr : &ws, ctl);
+                             });
     return result;
 }
 

@@ -23,12 +23,18 @@
 //   kCycleAccurate — bit-accurate datapath driven cycle-by-cycle (slow;
 //                    validates the analytic cycle model).
 //
-// Execution: the engine owns a persistent worker pool and parallelizes at
-// two levels — across heads when there are many small plans, and across the
-// tiles of a single plan otherwise (per-lane part arenas, then a sharded
-// ordered merge into the weighted-sum module). Both levels are bit-identical
-// to the sequential path for every thread count: tile outputs are replayed
-// in schedule order per query shard, and all datapath arithmetic is integer.
+// Execution: every head — of a layer run, a run_head call or a decode step
+// (a plan with one query row) — goes through one tile loop, parameterized
+// by a lane count and a tile runner (the functional TileExecutor or the
+// cycle-accurate array, both appending parts to a per-lane arena). The
+// engine owns a persistent worker pool and parallelizes at two levels:
+// across heads when there are many small plans (one lane per head), and
+// across the tiles of a single plan otherwise (N lanes, then a sharded
+// ordered merge into the weighted-sum module). Every lane count is
+// bit-identical to one lane: tile outputs are replayed in schedule order per
+// query shard, and all datapath arithmetic is integer. The seed's scalar
+// datapath lives apart, in core/reference_executor.hpp, as the reference
+// the engine is tested against.
 #pragma once
 
 #include <chrono>
@@ -218,15 +224,17 @@ private:
         }
     };
 
-    /// Per-lane buffers of the tile-parallel path, reused across the heads
-    /// of one layer so arenas keep their capacity (allocating ~parts-per-
-    /// head of fresh vectors per head costs more than the merge itself).
+    /// Robustness hooks of `options` (and the configured fault injector).
+    RunControl control(const RunOptions& options) const;
+
+    /// Per-lane buffers of the tile loop, reused across the heads of one
+    /// layer so arenas keep their capacity (allocating ~parts-per-head of
+    /// fresh vectors per head costs more than the merge itself).
     struct ParallelWorkspace {
         std::vector<PartArena> arenas;
         std::vector<PartScratch> scratch;
         std::vector<PartSpan> spans;
         std::vector<ActivityStats> lane_activity;
-        std::vector<std::vector<TilePart>> tile_parts;  ///< cycle-accurate path
         std::vector<QueryShard> shards;       ///< merge shards, shared across heads
         std::vector<QueryShard> tile_bounds;  ///< per-tile part query range [lo, hi)
     };
@@ -234,35 +242,27 @@ private:
     /// The plan must match this engine's geometry/options (checked).
     void check_compatible(const CompiledPlan& plan) const;
 
-    /// `threads` is the lane budget for THIS head (1 = sequential; callers
-    /// running heads in parallel pass 1 so levels never nest). `ws` may be
-    /// null (a scratch workspace is created when needed). `ctl` may be null
-    /// (no robustness hooks active).
-    HeadResult run_head_impl(const SchedulePlan& plan, const HybridPattern& pattern,
-                             const Matrix<float>& q, const Matrix<float>& k,
-                             const Matrix<float>& v, float scale, Fidelity fidelity,
-                             int threads, ParallelWorkspace* ws = nullptr,
+    /// One head: quantize, then the tile loop (or the float oracle at
+    /// golden fidelity). `q` has plan.n() rows, or one row for a decode
+    /// micro-plan, whose `k`/`v` are the compact K/V layout. `threads` is
+    /// the lane budget for THIS head (1 = one lane; callers running heads
+    /// in parallel pass 1 so levels never nest). `ws` may be null (a
+    /// scratch workspace is created). `ctl` may be null (no hooks active).
+    HeadResult run_head_impl(const CompiledPlan& plan, const Matrix<float>& q,
+                             const Matrix<float>& k, const Matrix<float>& v, float scale,
+                             Fidelity fidelity, int threads,
+                             ParallelWorkspace* ws = nullptr,
                              const RunControl* ctl = nullptr) const;
 
-    HeadResult run_head_sequential(const SchedulePlan& plan, Fidelity fidelity,
-                                   const Matrix<std::int8_t>& qq,
-                                   const Matrix<std::int8_t>& kq,
-                                   const Matrix<std::int8_t>& vq,
-                                   const RunControl* ctl = nullptr) const;
-
-    HeadResult run_head_parallel(const SchedulePlan& plan, Fidelity fidelity,
-                                 const Matrix<std::int8_t>& qq,
-                                 const Matrix<std::int8_t>& kq,
-                                 const Matrix<std::int8_t>& vq,
-                                 ParallelWorkspace& ws,
-                                 const RunControl* ctl = nullptr) const;
-
-    /// One head of one decode step (sequential tile loop; micro-plans are
-    /// a handful of tiles, so there is nothing to fork over inside a head).
-    HeadResult run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
-                             int head, const Matrix<float>& k, const Matrix<float>& v,
-                             float scale, Fidelity fidelity,
-                             const RunControl* ctl) const;
+    /// The tile loop shared by every fidelity, run and decode step:
+    /// `run_tile(tile, arena, activity, scratch)` appends one tile's parts
+    /// to its lane's arena; the parts merge into an n x d weighted-sum
+    /// module in schedule order. `measures_pe_cycles` says the runner counts
+    /// pe_cycles itself (the cycle-accurate array measures them).
+    template <typename RunTile>
+    HeadResult run_tiles(const SchedulePlan& plan, int n, int d, int lanes,
+                         bool measures_pe_cycles, const RunTile& run_tile,
+                         ParallelWorkspace& ws, const RunControl* ctl) const;
 
     /// The persistent worker pool (built on first use, sized num_threads).
     ThreadPool& pool() const;

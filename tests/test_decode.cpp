@@ -15,6 +15,7 @@
 #include "core/engine.hpp"
 #include "core/errors.hpp"
 #include "core/plan_cache.hpp"
+#include "core/reference_executor.hpp"
 #include "tensor/tensor3.hpp"
 
 namespace salo {
@@ -284,10 +285,65 @@ TEST(RunStep, MultiBandBitIdentity) {
 }
 
 TEST(RunStep, ReferenceDatapathBitIdentity) {
-    SaloConfig config;
-    config.reference_datapath = true;
-    expect_stepwise_bit_identity(config, {Band{-7, 8, 1, 0}}, {0, 1}, 2, 16, 16,
-                                 Fidelity::kFunctional, 53u);
+    // The reference executor and the engine on the same compact K/V
+    // micro-plan: identical outputs and SimStats at every step, and the
+    // reference step equals row t of the reference full-prefix encode.
+    const SaloConfig config;
+    const SaloEngine engine(config);
+    const std::vector<Band> bands{Band{-7, 8, 1, 0}};
+    const std::vector<int> globals{0, 1};
+    const int heads = 2, d = 16, steps = 16;
+    const float scale = 0.25f;
+    Rng rng(53u);
+    const Tensor3<float> q_all = random_tensor3(heads, steps, d, rng);
+    const Tensor3<float> k_all = random_tensor3(heads, steps, d, rng);
+    const Tensor3<float> v_all = random_tensor3(heads, steps, d, rng);
+    DecodeState state(heads, d, decode_window_span(bands), globals);
+    for (int t = 0; t < steps; ++t) {
+        Matrix<float> q_row(heads, d, 0.0f), k_row(heads, d, 0.0f), v_row(heads, d, 0.0f);
+        for (int h = 0; h < heads; ++h)
+            for (int x = 0; x < d; ++x) {
+                q_row(h, x) = q_all[h](t, x);
+                k_row(h, x) = k_all[h](t, x);
+                v_row(h, x) = v_all[h](t, x);
+            }
+        state.append(k_row, v_row);
+        const HybridPattern prefix = prefix_pattern(t + 1, bands, globals);
+        const CompiledPlanPtr micro = engine.compile_step(prefix, d);
+        auto [kc, vc] = state.assemble();
+        const StepResult ref = reference_run_step(config, *micro, q_row, kc, vc, scale);
+        const StepResult step = engine.run_step(*micro, q_row, kc, vc, scale);
+        EXPECT_EQ(ref.position, step.position);
+        EXPECT_EQ(ref.stats.cycles, step.stats.cycles) << "step=" << t;
+        EXPECT_EQ(ref.stats.tiles, step.stats.tiles) << "step=" << t;
+        for (int st = 0; st < 5; ++st)
+            EXPECT_EQ(ref.stats.stage_totals.stage[st], step.stats.stage_totals.stage[st])
+                << "step=" << t;
+        EXPECT_EQ(ref.stats.activity.mac_ops, step.stats.activity.mac_ops) << "step=" << t;
+        EXPECT_EQ(ref.stats.activity.exp_ops, step.stats.activity.exp_ops) << "step=" << t;
+        EXPECT_EQ(ref.stats.activity.valid_slots, step.stats.activity.valid_slots);
+        EXPECT_EQ(ref.stats.activity.array_slots, step.stats.activity.array_slots);
+        EXPECT_EQ(ref.stats.activity.pe_cycles, step.stats.activity.pe_cycles);
+
+        Tensor3<float> q_pre(heads, t + 1, d), k_pre(heads, t + 1, d),
+            v_pre(heads, t + 1, d);
+        for (int h = 0; h < heads; ++h)
+            for (int r = 0; r <= t; ++r)
+                for (int x = 0; x < d; ++x) {
+                    q_pre[h](r, x) = q_all[h](r, x);
+                    k_pre[h](r, x) = k_all[h](r, x);
+                    v_pre[h](r, x) = v_all[h](r, x);
+                }
+        const LayerResult full =
+            reference_run(config, compile(prefix, d, config), q_pre, k_pre, v_pre, scale);
+        for (int h = 0; h < heads; ++h)
+            for (int x = 0; x < d; ++x) {
+                ASSERT_EQ(ref.output[h](0, x), step.output[h](0, x))
+                    << "step=" << t << " head=" << h << " dim=" << x;
+                ASSERT_EQ(ref.output[h](0, x), full.output[h](t, x))
+                    << "step=" << t << " head=" << h << " dim=" << x;
+            }
+    }
 }
 
 TEST(RunStep, CycleAccurateBitIdentity) {

@@ -106,6 +106,23 @@ TEST(Baseline, SparseCheaperThanDenseForVeryLongSequences) {
               dense_attention_ms(gpu, 2048, 768));
 }
 
+TEST(Baseline, Fig7aAverageSpeedupsMatchPaper) {
+    // Paper Fig. 7a: SALO averages 89.33x over the CPU and 17.66x over the
+    // GPU across the three paper layers. The reproduction must stay within
+    // +-2% of both (the band perfbench checks too).
+    const SaloConfig config;
+    double cpu_sum = 0.0, gpu_sum = 0.0;
+    const auto workloads = paper_workloads();
+    for (const auto& w : workloads) {
+        const double salo_ms = estimate_layer(w, config).latency_ms;
+        cpu_sum += sparse_attention_ms(xeon_e5_2630_v3(), w).total_ms() / salo_ms;
+        gpu_sum += sparse_attention_ms(gtx_1080ti(), w).total_ms() / salo_ms;
+    }
+    const double count = static_cast<double>(workloads.size());
+    EXPECT_NEAR(cpu_sum / count / 89.33, 1.0, 0.02) << "CPU average " << cpu_sum / count;
+    EXPECT_NEAR(gpu_sum / count / 17.66, 1.0, 0.02) << "GPU average " << gpu_sum / count;
+}
+
 TEST(Baseline, ImpliedPowersPositiveAndOrdered) {
     const auto cpu = xeon_e5_2630_v3();
     const auto gpu = gtx_1080ti();

@@ -13,6 +13,7 @@
 
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
+#include "core/reference_executor.hpp"
 #include "common/rng.hpp"
 #include "numeric/quantize.hpp"
 #include "sim/kernels.hpp"
@@ -99,10 +100,10 @@ TEST(ParallelEngine, SingleHeadRunUsesTileParallelismDeterministically) {
 TEST(ParallelEngine, ReferenceDatapathBitIdenticalToOptimized) {
     const auto workload = longformer_small(128, 16, 2, 16, 1);
     const auto qkv = make_qkv(workload, 3);
-    SaloConfig ref_cfg = config_with_threads(1);
-    ref_cfg.reference_datapath = true;
-    const auto ref = SaloEngine(ref_cfg).run(workload.pattern, qkv.q, qkv.k, qkv.v,
-                                             workload.scale());
+    const SaloConfig ref_cfg = config_with_threads(1);
+    const auto ref =
+        reference_run(ref_cfg, compile(workload.pattern, workload.head_dim, ref_cfg), qkv.q,
+                      qkv.k, qkv.v, workload.scale());
     for (int threads : {1, 8}) {
         const auto opt = SaloEngine(config_with_threads(threads))
                              .run(workload.pattern, qkv.q, qkv.k, qkv.v,

@@ -2,11 +2,16 @@
 // coverage invariant and the simulator-vs-golden equivalence as properties.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "attention/golden.hpp"
 #include "common/rng.hpp"
+#include "core/compiled_plan.hpp"
 #include "core/engine.hpp"
+#include "core/reference_executor.hpp"
 #include "numeric/quantize.hpp"
 #include "scheduler/scheduler.hpp"
+#include "tensor/tensor3.hpp"
 
 namespace salo {
 namespace {
@@ -77,6 +82,61 @@ TEST_P(RandomPattern, EngineMatchesGoldenOnQuantizedInputs) {
     EXPECT_LT(max_abs_diff(sim.output, gold), 0.12)
         << "n=" << n << " bands=" << pattern.bands().size()
         << " globals=" << pattern.global_tokens().size();
+}
+
+void expect_bit_identical(const LayerResult& a, const LayerResult& b,
+                          const std::string& what) {
+    ASSERT_EQ(a.output.count(), b.output.count()) << what;
+    for (int h = 0; h < a.output.count(); ++h)
+        EXPECT_TRUE(a.output[h] == b.output[h]) << what << ", head " << h;
+    EXPECT_EQ(a.stats.cycles, b.stats.cycles) << what;
+    EXPECT_EQ(a.stats.tiles, b.stats.tiles) << what;
+    for (int s = 0; s < 5; ++s)
+        EXPECT_EQ(a.stats.stage_totals.stage[s], b.stats.stage_totals.stage[s]) << what;
+    EXPECT_EQ(a.stats.activity.mac_ops, b.stats.activity.mac_ops) << what;
+    EXPECT_EQ(a.stats.activity.exp_ops, b.stats.activity.exp_ops) << what;
+    EXPECT_EQ(a.stats.activity.valid_slots, b.stats.activity.valid_slots) << what;
+    EXPECT_EQ(a.stats.activity.array_slots, b.stats.activity.array_slots) << what;
+    EXPECT_EQ(a.stats.activity.pe_cycles, b.stats.activity.pe_cycles) << what;
+}
+
+TEST_P(RandomPattern, EngineBitIdenticalToReferenceAtAnyThreadCountAndFidelity) {
+    // Differential check of the engine's tile loop on a random geometry:
+    // the reference executor == the engine at 1, 2 and 8 threads, at both
+    // functional and cycle-accurate fidelity, outputs and SimStats (the
+    // array's measured pe_cycles equal the closed form). One head exercises
+    // the tile-parallel path, several heads may take the head-parallel one.
+    Rng rng(static_cast<std::uint64_t>(GetParam()) * 15485863);
+    const int n = 24 + static_cast<int>(rng.uniform_index(40));
+    const int d = 8 * (1 + static_cast<int>(rng.uniform_index(2)));  // 8, 16
+    const int heads = 1 + static_cast<int>(rng.uniform_index(3));
+    const auto pattern = random_pattern(rng, n);
+    SaloConfig config;
+    config.geometry.rows = 4 + static_cast<int>(rng.uniform_index(3)) * 4;  // 4, 8, 12
+    config.geometry.cols = 4 + static_cast<int>(rng.uniform_index(3)) * 4;
+    config.schedule_options.packing =
+        rng.uniform() < 0.5 ? PackingMode::kPacked : PackingMode::kPerBand;
+    const Tensor3<float> q = random_tensor3(heads, n, d, rng, 0.8);
+    const Tensor3<float> k = random_tensor3(heads, n, d, rng, 0.8);
+    const Tensor3<float> v = random_tensor3(heads, n, d, rng, 0.8);
+    const float scale = 0.35f;
+    const std::string shape = "n=" + std::to_string(n) + " d=" + std::to_string(d) +
+                              " heads=" + std::to_string(heads) +
+                              " rows=" + std::to_string(config.geometry.rows) +
+                              " cols=" + std::to_string(config.geometry.cols);
+
+    const LayerResult ref =
+        reference_run(config, compile(pattern, d, config), q, k, v, scale);
+    for (int threads : {1, 2, 8}) {
+        config.num_threads = threads;
+        const SaloEngine engine(config);
+        const CompiledPlanPtr plan = engine.compile(pattern, d);
+        const std::string what = shape + " threads=" + std::to_string(threads);
+        expect_bit_identical(ref, engine.run(*plan, q, k, v, scale), what + " functional");
+        expect_bit_identical(
+            ref, engine.run(*plan, q, k, v, scale, Fidelity::kCycleAccurate, threads),
+            what + " cycle-accurate");
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPattern, ::testing::Range(1, 25));
